@@ -4,7 +4,8 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
 # The benchmark gate covers the observability substrate, the VM hot
-# paths (per-element and page-run), the storage backends' fault-free
+# paths (resident loads and stores, the fault and release cycles), the
+# storage backends' fault-free
 # service cycle, the end-to-end kernel host-time figures (static and
 # profile-guided), the multi-tenant scheduler's steady-state step, and
 # the profile recorder's observation step (the latter two must stay
@@ -16,13 +17,21 @@ BENCH_PKGS = ./internal/obs ./internal/vm ./internal/disk ./internal/bench ./int
 # allocator and scheduler noise enough for a 15% gate.
 BENCH_FLAGS = -bench=. -benchmem -benchtime 200ms -count 3 -run '^$$'
 
-.PHONY: ci fmt-check vet staticcheck build test race fuzz test-faults test-fastpath test-hotpath test-backends test-tenants test-profile bench bench-check bench-baseline
+.PHONY: ci no-test-binaries fmt-check vet staticcheck build test race fuzz test-faults test-fastpath test-hotpath test-backends test-tenants test-profile bench bench-check bench-baseline
 
-# ci is the gate: formatting, static checks, build, tests, the
-# race-detector pass over the concurrent experiment runner, a
-# short-budget fuzz of the fault plane, and the storage-backend
-# conformance and cross-tier equivalence suite.
-ci: fmt-check vet staticcheck build test race fuzz test-backends
+# ci is the gate: no committed test binaries, formatting, static
+# checks, build, tests, the race-detector pass over the concurrent
+# experiment runner, a short-budget fuzz of the fault plane, and the
+# storage-backend conformance and cross-tier equivalence suite.
+ci: no-test-binaries fmt-check vet staticcheck build test race fuzz test-backends
+
+# no-test-binaries fails when a compiled test binary (`go test -c`
+# output, *.test) is tracked by git.
+no-test-binaries:
+	@tracked=$$(git ls-files '*.test'); \
+	if [ -n "$$tracked" ]; then \
+		echo "compiled test binaries are tracked:"; echo "$$tracked"; exit 1; \
+	fi
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -102,24 +111,29 @@ test-profile:
 	$(GO) test ./internal/compiler/ -run TestProfile
 	$(GO) test ./internal/fault/harness/ -run 'TestProfileModesByteIdentical|TestProfileCoverageDifferential'
 
-# test-fastpath runs the executor fast-path differential property: every
-# NAS proxy and example kernel must be tick-identical with page-run
-# specialization on and off, fault-free and under fault profiles, plus
-# the exec-level unit differentials.
+# test-fastpath runs the executor differential property: every NAS proxy
+# and example kernel must be tick-identical on the kernel bytecode and
+# the closure oracle, fault-free and under fault profiles, plus the
+# exec-level unit differentials and the structural check that every
+# loop lowers once, to bytecode.
 test-fastpath:
 	$(GO) test ./internal/fault/harness/ -run TestFastPathEquivalence
-	$(GO) test ./internal/exec/ -run TestFastPath
+	$(GO) test ./internal/exec/ -run 'TestFastPath|TestNest'
+	$(GO) test ./internal/nas/ -run TestEveryLoopLowersOnce -count 1
 
 # test-hotpath runs the host-time hot-path gate (DESIGN.md §14): exact
 # hint lowering (differential tests on unsafe hint shapes, plus the
-# structural property that no NAS hint site emits a closure call), the
-# compile-once plan cache (hit/miss/cold tick-identical across NAS ×
-# tiers × fault profiles, invalidation by key), and the benchdiff
-# allocs/op gate that holds the zero-alloc write-back path.
+# structural property that every NAS loop and hint site lowers to
+# bytecode with no closure call), the compile-once plan cache
+# (hit/miss/cold tick-identical across NAS × tiers × fault profiles,
+# invalidation by key), in-place seeding and the zero-alloc
+# release → rescue cycle, and the benchdiff allocs/op gate that holds
+# the zero-alloc write-back path.
 test-hotpath:
-	$(GO) test ./internal/exec/ -run 'TestHint|TestFastPath|TestNest'
-	$(GO) test ./internal/nas/ -run TestNASHintSitesEmitNoClosureCalls -count 1
+	$(GO) test ./internal/exec/ -run 'TestHint|TestSeed'
+	$(GO) test ./internal/nas/ -run 'TestNASHintSitesEmitNoClosureCalls|TestEveryLoopLowersOnce' -count 1
 	$(GO) test ./internal/core/ -run TestPlanCache -count 1
+	$(GO) test ./internal/vm/ -run TestReleaseRescueCycleZeroAlloc -count 1
 	$(GO) test ./cmd/benchdiff/
 
 bench:

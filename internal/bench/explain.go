@@ -1,8 +1,8 @@
 // ExplainFastPath: a diagnostic report of how the executor compiled each
-// NAS proxy's loop nest — which loops got the page-run span driver, which
-// run as linearized kernel bytecode, and why a loop fell back when it
-// did. `oocbench -explain-fastpath` prints it so a silently-missed
-// specialization is visible instead of just slow.
+// NAS proxy's loop nest — which loops run as kernel bytecode, which fell
+// back to the closure oracle, and how many hints each loop lowered.
+// `oocbench -explain-fastpath` prints it so a loop that missed the
+// bytecode is visible instead of just slow.
 package bench
 
 import (
@@ -16,7 +16,7 @@ import (
 
 // ExplainFastPath runs every NAS proxy once at the given scale in the
 // standard prefetching configuration and prints each loop's compiled
-// driver and fallback reason.
+// driver and lowered hints.
 func ExplainFastPath(w io.Writer, scale float64) error {
 	ps := hw.Default().PageSize
 	for _, app := range nas.Apps() {

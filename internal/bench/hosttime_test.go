@@ -11,7 +11,7 @@ import (
 // BenchmarkKernelHostTime measures the host (wall-clock) cost of one
 // complete end-to-end run — compile, simulate, validate nothing — of a
 // small CG proxy in the standard prefetching configuration. This is the
-// figure the executor's page-run fast path exists to improve; the other
+// figure the executor's kernel bytecode exists to improve; the other
 // benchmarks in the gate isolate its per-word components.
 func BenchmarkKernelHostTime(b *testing.B) {
 	benchHostTime(b, nas.CGM(), 0.1, 2)

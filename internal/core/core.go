@@ -51,12 +51,11 @@ type Config struct {
 	// warm-started bars of Figure 6.
 	WarmStart bool
 
-	// NoFastPath disables the executor's page-run loop specialization,
-	// forcing every array access through the per-element VM path. The two
-	// paths produce identical results, simulated times, and statistics —
-	// the fast path only removes host-side interpretation overhead — so
-	// this is a differential-testing and debugging switch, not a modeling
-	// choice.
+	// NoFastPath runs the executor's closure-tree oracle instead of the
+	// kernel bytecode. The two produce identical results, simulated
+	// times, and statistics — the bytecode only removes host-side
+	// interpretation overhead — so this is a differential-testing and
+	// debugging switch, not a modeling choice.
 	NoFastPath bool
 
 	// NoPlanCache disables the process-wide compile-once plan cache,
@@ -197,8 +196,8 @@ type Result struct {
 	// Config.Faults was nil or disabled).
 	Faults fault.Counts
 
-	// FastPath reports, per loop, which compiled driver ran it and why
-	// the compiler fell back when it did (empty under NoFastPath).
+	// FastPath reports, per loop, which compiled driver ran it and how
+	// many hints it lowered (empty under NoFastPath).
 	FastPath []exec.LoopReport
 
 	// Profile is the recording from a ProfileSpec.Record run; nil

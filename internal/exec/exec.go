@@ -25,15 +25,6 @@ type Env struct {
 	rt     *rt.Layer
 	rngX   uint64 // Randlc stream state (x_k, 46-bit)
 
-	// sites is the page-run fast path's per-access-site state: one entry
-	// per specialized array reference in the program, live only while a
-	// chunk of iterations executes (see fastpath.go).
-	sites []runSite
-
-	// subs holds the page-run driver's incrementally-maintained
-	// per-dimension subscript values, indexed by each site's subBase.
-	subs []int64
-
 	// ri/rf are the kernel interpreter's register files (kernel.go);
 	// index 0 of each is a permanent zero.
 	ri []int64
@@ -50,16 +41,13 @@ type bFn func(*Env) bool
 // bytecode (code != nil, run by runK); Options.NoFastPath and the
 // register-overflow fallback keep the closure tree in body instead.
 type Machine struct {
-	prog   *ir.Program
-	vm     *vm.VM
-	rt     *rt.Layer
-	body   stmtFn
-	nSites int
-	nSubs  int
+	prog *ir.Program
+	vm   *vm.VM
+	rt   *rt.Layer
+	body stmtFn
 
 	// kernel bytecode state (kcompile.go / kernel.go)
 	code      []kinstr
-	calls     []stmtFn
 	aux       []auxDim
 	haux      []hintAux
 	nRI, nRF  int
@@ -68,7 +56,7 @@ type Machine struct {
 }
 
 // Artifact is a compiled program not yet bound to any VM. Everything in
-// it — the closure tree, the kernel bytecode, the call table — reads
+// it — the closure tree or the kernel bytecode and its tables — reads
 // run-time state exclusively through the *Env passed at execution, so
 // one Artifact can be Bound to any number of VMs (sequentially or
 // concurrently) as long as each VM has the same page size the program
@@ -79,11 +67,8 @@ type Artifact struct {
 	prog     *ir.Program
 	pageSize int64
 	body     stmtFn
-	nSites   int
-	nSubs    int
 
 	code      []kinstr
-	calls     []stmtFn
 	aux       []auxDim
 	haux      []hintAux
 	nRI, nRF  int
@@ -96,30 +81,27 @@ type Artifact struct {
 func (a *Artifact) Reports() []LoopReport { return a.reports }
 
 // CallSites returns how many closure-call slots the kernel bytecode
-// carries. On the kernel path the only opCall emitters are embedded
-// page-run span drivers — exactly one per page-run loop report — so
-// tests assert CallSites equals the page-run loop count to prove no
-// hint (or any other statement) fell back to a closure. Zero for
-// closure-tree artifacts, which have no bytecode at all.
-func (a *Artifact) CallSites() int { return len(a.calls) }
+// carries. The bytecode has no closure-call instruction — every loop,
+// statement and hint lowers to linear instructions — so this is always
+// zero; it stays for reports that track the count.
+func (a *Artifact) CallSites() int { return 0 }
 
 // Options tunes compilation.
 type Options struct {
-	// NoFastPath disables page-run loop specialization, forcing every
-	// array access through the per-element Load/Store path. The fast path
-	// only removes host-side interpretation overhead — simulated results,
-	// times, and statistics are identical either way — so this exists for
-	// differential testing and debugging, not as a semantic switch.
+	// NoFastPath compiles the closure-tree oracle instead of the kernel
+	// bytecode. The bytecode only removes host-side interpretation
+	// overhead — simulated results, times, and statistics are identical
+	// either way — so this exists for differential testing and
+	// debugging, not as a semantic switch.
 	NoFastPath bool
 
 	// Profile, if non-nil, runs the program with observation-only
 	// profiling instrumentation (pass 1 of the two-pass profile-guided
 	// mode). The recorder must have been built from the same *ir.Program.
 	// Instrumentation wraps every array access through the closure-tree
-	// oracle — the bytecode and page-run drivers are bypassed, which by
-	// the differential contract changes nothing simulated — and charges
-	// no operations, so results, times, and statistics are identical to
-	// an unprofiled run.
+	// oracle — the bytecode is bypassed, which by the differential
+	// contract changes nothing simulated — and charges no operations, so
+	// results, times, and statistics are identical to an unprofiled run.
 	Profile *profile.Recorder
 }
 
@@ -150,53 +132,33 @@ func Compile(prog *ir.Program, pageSize int64, opts Options) (*Artifact, error) 
 			return nil, err
 		}
 	}
-	c := &compiler{
-		noFast:    opts.NoFastPath,
-		pageWords: pageSize / ir.ElemSize,
-	}
+	c := &compiler{}
 	a := &Artifact{prog: prog, pageSize: pageSize}
-	if opts.Profile != nil {
+	switch {
+	case opts.Profile != nil:
 		// Profiling pass: per-element closure tree with observation
 		// wrappers around every array access. The closures capture the
 		// recorder, so a profiling Artifact is one-shot — never cache it.
-		c.noFast = true
 		c.prof = newProfRec(opts.Profile)
-		a.body = c.stmts(prog.Body)
+	case !opts.NoFastPath:
+		shift := int64(bits.TrailingZeros64(uint64(pageSize)))
+		kc := newKcompiler(c, shift)
+		if kc.compile(prog.Body) {
+			kc.install(a)
+			return a, nil
+		}
 		if c.err != nil {
 			return nil, c.err
 		}
-		a.nSites, a.nSubs = c.nSites, c.nSubs
-		return a, nil
+		// Register/table pressure exceeded the bytecode's limits: fall
+		// back to the closure oracle, reporting every loop as such.
+		a.reports = closureReports(prog.Body, 0, nil)
 	}
-	if opts.NoFastPath {
-		// Differential oracle: the pure closure tree, byte-for-byte the
-		// reference semantics.
-		a.body = c.stmts(prog.Body)
-		if c.err != nil {
-			return nil, c.err
-		}
-		a.nSites, a.nSubs = c.nSites, c.nSubs
-		return a, nil
-	}
-	shift := int64(bits.TrailingZeros64(uint64(pageSize)))
-	kc := newKcompiler(c, shift)
-	if kc.compile(prog.Body) {
-		a.nSites, a.nSubs = c.nSites, c.nSubs
-		kc.install(a)
-		return a, nil
-	}
+	// The closure tree: byte-for-byte the reference semantics.
+	a.body = c.stmts(prog.Body)
 	if c.err != nil {
 		return nil, c.err
 	}
-	// Register/table pressure exceeded the bytecode's limits: fall back to
-	// the closure interpreter with page-run specialization (a fresh
-	// compiler, since kc consumed site numbering on the shared one).
-	c2 := &compiler{pageWords: c.pageWords}
-	a.body = c2.stmts(prog.Body)
-	if c2.err != nil {
-		return nil, c2.err
-	}
-	a.nSites, a.nSubs = c2.nSites, c2.nSubs
 	return a, nil
 }
 
@@ -222,8 +184,8 @@ func (a *Artifact) Bind(v *vm.VM, layer *rt.Layer) (*Machine, error) {
 	}
 	return &Machine{
 		prog: a.prog, vm: v, rt: layer,
-		body: a.body, nSites: a.nSites, nSubs: a.nSubs,
-		code: a.code, calls: a.calls, aux: a.aux, haux: a.haux,
+		body: a.body,
+		code: a.code, aux: a.aux, haux: a.haux,
 		nRI: a.nRI, nRF: a.nRF, pageShift: a.pageShift,
 		reports: a.reports,
 	}, nil
@@ -238,8 +200,6 @@ func (m *Machine) Run() *Env {
 		vm:     m.vm,
 		rt:     m.rt,
 		rngX:   uint64(m.prog.Seed) & ((1 << 46) - 1),
-		sites:  make([]runSite, m.nSites),
-		subs:   make([]int64, m.nSubs),
 	}
 	for _, p := range m.prog.Params {
 		e.Ints[p.Slot] = p.Val
@@ -257,27 +217,14 @@ func (m *Machine) Run() *Env {
 // VM returns the machine's VM.
 func (m *Machine) VM() *vm.VM { return m.vm }
 
-// SpecializedSites returns how many array access sites were compiled to
-// the page-run fast path (zero when Options.NoFastPath was set or no loop
-// qualified). Tests use it to prove specialization actually engaged.
-func (m *Machine) SpecializedSites() int { return m.nSites }
-
-// CallSites returns how many closure-call slots the machine's kernel
-// bytecode carries; see Artifact.CallSites for what tests prove with it.
-func (m *Machine) CallSites() int { return len(m.calls) }
-
 // ---- compilation ---------------------------------------------------------
 
 // compiler lowers IR to closures, tallying a static operation count per
 // statement which the closure charges once per execution. Loads, stores
 // and intrinsics carry extra weight; see opCost.
 type compiler struct {
-	err       error
-	noFast    bool
-	pageWords int64    // words per page, for page-run chunk sizing
-	nSites    int      // specialized access sites assigned so far
-	nSubs     int      // maintained-subscript slots assigned so far
-	prof      *profRec // non-nil in the profiling pass (profile.go)
+	err  error
+	prof *profRec // non-nil in the profiling pass (profile.go)
 }
 
 func (c *compiler) fail(format string, args ...interface{}) {
@@ -419,11 +366,6 @@ func (c *compiler) loop(l *ir.Loop) stmtFn {
 	lo, locost := c.iexpr(l.Lo)
 	hi, hicost := c.iexpr(l.Hi)
 	head := locost + hicost
-	if !c.noFast {
-		if fn, ok := c.fastLoop(l, lo, hi, head); ok {
-			return fn
-		}
-	}
 	body := c.stmts(l.Body)
 	slot, step := l.Slot, l.Step
 	return func(e *Env) {

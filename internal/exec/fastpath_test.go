@@ -38,30 +38,30 @@ func buildWith(t testing.TB, prog *ir.Program, frames int64, opts Options) (*sim
 	return c, v, file, m
 }
 
-// runDifferential executes prog twice on fresh systems — fast path on and
-// off — with identical seeding, and asserts the two simulations are
-// tick-identical: same scalars, same memory image, same time breakdown,
-// same event counts.
+// runDifferential executes prog twice on fresh systems — kernel bytecode
+// and closure oracle — with identical seeding, and asserts the two
+// simulations are tick-identical: same scalars, same memory image, same
+// time breakdown, same event counts. The bytecode side must actually
+// have compiled every loop to bytecode, or the comparison is vacuous.
 func runDifferential(t *testing.T, mk func() *ir.Program, frames int64,
 	seed func(*stripefs.File, *ir.Program)) (*Env, *vm.VM) {
 	t.Helper()
-	return runDifferentialSites(t, mk, frames, seed, true)
+	return runDifferentialDriver(t, mk, frames, seed, true)
 }
 
-// runDifferentialSites is runDifferential with the vacuity check made
-// optional, for nests (zero-trip, control flow, scalar-only) where the
-// interesting path is the kernel bytecode rather than a span driver.
-func runDifferentialSites(t *testing.T, mk func() *ir.Program, frames int64,
-	seed func(*stripefs.File, *ir.Program), requireSites bool) (*Env, *vm.VM) {
+// runDifferentialDriver is runDifferential with the bytecode check made
+// optional, for programs the bytecode cannot hold (register overflow).
+func runDifferentialDriver(t *testing.T, mk func() *ir.Program, frames int64,
+	seed func(*stripefs.File, *ir.Program), requireKernel bool) (*Env, *vm.VM) {
 	t.Helper()
 	progFast, progSlow := mk(), mk()
 	_, vFast, fileFast, mFast := buildWith(t, progFast, frames, Options{})
 	_, vSlow, fileSlow, mSlow := buildWith(t, progSlow, frames, Options{NoFastPath: true})
-	if requireSites && mFast.SpecializedSites() == 0 {
-		t.Fatal("fast machine specialized nothing — differential test is vacuous")
+	if requireKernel {
+		requireBytecode(t, mFast)
 	}
-	if mSlow.SpecializedSites() != 0 {
-		t.Fatal("NoFastPath machine has specialized sites")
+	if mSlow.code != nil || len(mSlow.Reports()) != 0 {
+		t.Fatal("NoFastPath machine compiled bytecode")
 	}
 	if seed != nil {
 		seed(fileFast, progFast)
@@ -98,6 +98,23 @@ func runDifferentialSites(t *testing.T, mk func() *ir.Program, frames int64,
 		t.Errorf("fast run invariants: %v", err)
 	}
 	return envFast, vFast
+}
+
+// requireBytecode asserts that m runs kernel bytecode and that every loop
+// of its program lowered to it.
+func requireBytecode(t *testing.T, m *Machine) {
+	t.Helper()
+	if m.code == nil {
+		t.Fatal("machine has no kernel bytecode — differential test is vacuous")
+	}
+	if len(m.Reports()) == 0 {
+		t.Fatal("machine reports no loops — differential test is vacuous")
+	}
+	for _, r := range m.Reports() {
+		if r.Driver != "kernel" {
+			t.Fatalf("loop %s ran on the %s driver, want kernel", r.Var, r.Driver)
+		}
+	}
 }
 
 func TestFastPathForwardSum(t *testing.T) {
@@ -176,7 +193,7 @@ func TestFastPathStridedAndMultiStatement(t *testing.T) {
 func TestFastPathCrossIterationDependency(t *testing.T) {
 	// a[i+1] = a[i]: each iteration reads the previous one's store, so the
 	// seed value must propagate through the whole array — including across
-	// chunk boundaries, where the read and write sites split pages.
+	// page boundaries, where the read and write sites split pages.
 	const n = 2048 // 4 pages
 	mk := func() *ir.Program {
 		p := ir.NewProgram("chain")
@@ -245,10 +262,9 @@ func TestFastPathTwoDimensional(t *testing.T) {
 }
 
 func TestFastPathFallbacks(t *testing.T) {
-	// Loops the specializer must refuse: indirect subscripts, control
-	// flow in the body, induction-variable assignment, and page-or-larger
-	// strides. Each program's only loop is ineligible, so the machine must
-	// report zero specialized sites — and still run correctly.
+	// Loop shapes with data-dependent or page-sized access patterns:
+	// indirect subscripts, control flow in the body, and page-or-larger
+	// strides. Each still lowers to bytecode and must match the oracle.
 	pageElems := hw.Default().PageSize / ir.ElemSize
 
 	cases := []struct {
@@ -302,14 +318,12 @@ func TestFastPathFallbacks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, file, m := buildWith(t, tc.mk(), 64, Options{})
-			if n := m.SpecializedSites(); n != 0 {
-				t.Fatalf("ineligible loop specialized %d sites", n)
+			seed := func(f *stripefs.File, p *ir.Program) {
+				if tc.name == "indirect" {
+					SeedI64(f, hw.Default().PageSize, p.Arrays[0], func(i int64) int64 { return i % 512 })
+				}
 			}
-			if tc.name == "indirect" {
-				SeedI64(file, hw.Default().PageSize, m.prog.Arrays[0], func(i int64) int64 { return i % 512 })
-			}
-			m.Run() // must still execute correctly via the per-element path
+			runDifferential(t, tc.mk, 64, seed)
 		})
 	}
 }
@@ -317,20 +331,17 @@ func TestFastPathFallbacks(t *testing.T) {
 func TestFastPathEngages(t *testing.T) {
 	prog, _ := sumProgram(2000)
 	_, _, _, m := build(t, prog, 64)
-	if m.SpecializedSites() == 0 {
-		t.Fatal("streaming sum loop did not specialize")
-	}
+	requireBytecode(t, m)
 	prog2, _ := sumProgram(2000)
 	_, _, _, m2 := buildWith(t, prog2, 64, Options{NoFastPath: true})
-	if m2.SpecializedSites() != 0 {
-		t.Fatal("NoFastPath machine specialized sites")
+	if m2.code != nil || m2.body == nil {
+		t.Fatal("NoFastPath machine did not compile the closure oracle")
 	}
 }
 
 func TestFastPathBoundsPanicMidChunk(t *testing.T) {
-	// The subscript leaves the array partway through what would be a
-	// single page run: the violation must still panic (via the bounds
-	// pre-check falling back to the per-element path).
+	// The subscript leaves the array partway through a page: the
+	// bytecode's bounds check must still panic at the first bad element.
 	p := ir.NewProgram("oob2")
 	np := p.NewParam("n", 100, true)
 	a := p.NewArrayF("a", np)
@@ -344,7 +355,7 @@ func TestFastPathBoundsPanicMidChunk(t *testing.T) {
 	_, _, _, m := buildWith(t, p, 64, Options{})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("mid-chunk out-of-bounds access did not panic")
+			t.Fatal("mid-page out-of-bounds access did not panic")
 		}
 	}()
 	m.Run()

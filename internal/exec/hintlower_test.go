@@ -1,7 +1,7 @@
 // Differential tests for the exact (double-evaluation) hint lowering:
 // hint shapes that fail hintSideSafe — multi-load indices, impure pages
 // expressions — must run as kernel bytecode via hintExact, tick-identical
-// to the closure oracle, with no opCall fallback.
+// to the closure oracle, with no closure fallback.
 package exec
 
 import (
@@ -46,10 +46,8 @@ func seedTwoLoad(f *stripefs.File, p *ir.Program) {
 }
 
 func TestHintExactTwoLoadIndex(t *testing.T) {
-	// The loop's only array traffic besides the hint is a streaming sum;
-	// the hint makes the loop a kernel (not span) candidate, so no
-	// specialized sites are required for the test to be meaningful.
-	env, _ := runDifferentialSites(t, twoLoadHintProgram, 8, seedTwoLoad, false)
+	// The loop's only array traffic besides the hint is a streaming sum.
+	env, _ := runDifferential(t, twoLoadHintProgram, 8, seedTwoLoad)
 	if env.Floats[0] == 0 {
 		t.Fatal("sum is zero — the loop body never ran")
 	}
@@ -91,9 +89,9 @@ func seedImpurePages(f *stripefs.File, p *ir.Program) {
 }
 
 func TestHintExactImpurePages(t *testing.T) {
-	// The inner sum loop must still get the span driver (requireSites):
-	// the exact hint lowering lives in the outer kernel loop around it.
-	runDifferentialSites(t, impurePagesProgram, 16, seedImpurePages, true)
+	// The exact hint lowering lives in the outer loop around an inner
+	// streaming sum; both loops must lower to bytecode.
+	runDifferential(t, impurePagesProgram, 16, seedImpurePages)
 }
 
 // mixedHintProgram bundles a side-safe prefetch with an impure-pages
@@ -127,14 +125,13 @@ func seedMixed(f *stripefs.File, p *ir.Program) {
 }
 
 func TestHintExactMixedPrefetchRelease(t *testing.T) {
-	runDifferentialSites(t, mixedHintProgram, 8, seedMixed, false)
+	runDifferential(t, mixedHintProgram, 8, seedMixed)
 }
 
 // TestHintLoweringNoClosureFallback proves the structural claim behind
-// the differentials: every hint statement is lowered to bytecode (the
-// enclosing loop reports the kernel driver and counts its hints), and
-// the bytecode's only closure-call slots are page-run span drivers —
-// exactly one per page-run loop report, so hint sites contribute none.
+// the differentials: every hint statement is lowered to bytecode — each
+// loop reports the kernel driver, the enclosing loop counts its hint, and
+// the artifact carries no closure-call slots.
 func TestHintLoweringNoClosureFallback(t *testing.T) {
 	cases := []struct {
 		name string
@@ -146,28 +143,22 @@ func TestHintLoweringNoClosureFallback(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, m := buildWith(t, tc.mk(), 16, Options{})
-			hints, kernels, pageRuns := 0, 0, 0
-			for _, r := range m.Reports() {
+			a, err := Compile(tc.mk(), hw.Default().PageSize, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hints := 0
+			for _, r := range a.Reports() {
 				hints += r.Hints
-				switch r.Driver {
-				case "kernel":
-					kernels++
-				case "page-run":
-					pageRuns++
-				case "closure":
-					t.Errorf("loop %s fell back to the closure driver (%s)", r.Var, r.Reason)
+				if r.Driver != "kernel" {
+					t.Errorf("loop %s ran on the %s driver, want kernel", r.Var, r.Driver)
 				}
 			}
 			if hints != 1 {
-				t.Errorf("lowered hints = %d, want 1 (reports: %v)", hints, m.Reports())
+				t.Errorf("lowered hints = %d, want 1 (reports: %v)", hints, a.Reports())
 			}
-			if kernels == 0 {
-				t.Error("no loop reports the kernel driver — hint lowering never engaged")
-			}
-			if got := m.CallSites(); got != pageRuns {
-				t.Errorf("CallSites = %d, want %d (one per page-run loop, none for hints)",
-					got, pageRuns)
+			if got := a.CallSites(); got != 0 {
+				t.Errorf("CallSites = %d, want 0", got)
 			}
 		})
 	}

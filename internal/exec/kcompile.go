@@ -1,9 +1,7 @@
 // The nest compiler: lowers a whole program body — outer loops included —
-// to the flat kernel bytecode of kernel.go. Where the page-run fast path
-// (fastpath.go) specializes an innermost loop, the nest compiler calls it
-// and embeds the resulting span driver behind an opCall; everything else
-// becomes linear instructions, so steady-state iterations make zero
-// closure calls per element.
+// to the flat kernel bytecode of kernel.go. Every loop is lowered exactly
+// once, by kernelLoop, to linear instructions, so steady-state iterations
+// make zero closure calls per element.
 //
 // Exactness discipline (see kernel.go's package comment): compile-time
 // operation charges accumulate in kc.pending and are materialized as one
@@ -12,8 +10,8 @@
 // CSE'd, folded, or hoisted out of a loop only when they are trap-free
 // and depend on no slot the loop writes; values bound to registers are
 // dropped at every join point whose dominating instructions might not
-// have executed (loop exits, branch joins, after drivers that write
-// slots). The closure oracle (exec.go) remains the reference semantics.
+// have executed (loop exits, branch joins). The closure oracle (exec.go)
+// remains the reference semantics.
 package exec
 
 import (
@@ -61,7 +59,7 @@ type kcompiler struct {
 	pending int64 // operation charges not yet materialized
 
 	nRI, nRF int
-	overflow bool // ran out of registers (or call/aux slots)
+	overflow bool // ran out of registers (or aux slots)
 
 	cse    map[uint64]cseEnt // pure int expr -> register holding it
 	cseDep map[uint64][]int  // its slot dependencies, for invalidation
@@ -70,14 +68,12 @@ type kcompiler struct {
 	iconst map[int64]uint16
 	fconst map[uint64]uint16
 
-	calls  []stmtFn
 	aux    []auxDim
 	auxIdx map[string]int
 	haux   []hintAux
 
-	loops     []*kloop
-	reports   []LoopReport
-	lastHints int // hint count of the most recently compiled loop body
+	loops   []*kloop
+	reports []LoopReport
 }
 
 func newKcompiler(oc *compiler, shift int64) *kcompiler {
@@ -117,7 +113,6 @@ func (kc *kcompiler) compile(body []ir.Stmt) bool {
 
 func (kc *kcompiler) install(m *Artifact) {
 	m.code = kc.code
-	m.calls = kc.calls
 	m.aux = kc.aux
 	m.haux = kc.haux
 	m.nRI = kc.nRI
@@ -186,15 +181,6 @@ func (kc *kcompiler) newLabel() int {
 }
 
 func (kc *kcompiler) mark(l int) { kc.emit(kinstr{op: opLabel, imm: int64(l)}) }
-
-func (kc *kcompiler) addCall(fn stmtFn) uint16 {
-	if len(kc.calls) > 0xFFFF {
-		kc.overflow = true
-		return 0
-	}
-	kc.calls = append(kc.calls, fn)
-	return uint16(len(kc.calls) - 1)
-}
 
 func (kc *kcompiler) auxFor(arr *ir.Array, d int) int {
 	key := fmt.Sprintf("%s/%d", arr.Name, d)
@@ -378,7 +364,7 @@ func (kc *kcompiler) stmt(s ir.Stmt) {
 	oc := kc.oc
 	switch x := s.(type) {
 	case *ir.Loop:
-		kc.loop(x)
+		kc.kernelLoop(x)
 	case ir.AssignF:
 		_, acost := oc.addr(x.Arr, x.Idx)
 		_, rcost := oc.fexpr(x.RHS)
@@ -529,92 +515,26 @@ func (kc *kcompiler) tryFAccDot(slot int, mul ir.FBin) bool {
 
 // ---- loops ---------------------------------------------------------------
 
-// spanMinTrip is the trip count below which a page-run-eligible loop's
-// guarded dual lowering takes the plain bytecode branch instead of the
-// span driver. Short invocations cannot amortize the driver's entry
-// work (bound evaluation, lazy subscript seeding, chunk sizing) and
-// mostly land in its per-element slow path anyway; strip-mined nests
-// like the FFT butterflies run the same loop at trips from 1 to
-// thousands, so the choice has to be made at run time. Both branches
-// charge and fault identically — the guard only moves host time.
-const spanMinTrip = 8
-
-func (kc *kcompiler) loop(l *ir.Loop) {
+// kernelLoop lowers l to bytecode — the one lowering every loop gets —
+// and records its report.
+func (kc *kcompiler) kernelLoop(l *ir.Loop) {
 	oc := kc.oc
 	if l.Step <= 0 {
 		oc.fail("loop %s has non-positive step %d", l.Var, l.Step)
 		return
 	}
-	lo, locost := oc.iexpr(l.Lo)
-	hi, hicost := oc.iexpr(l.Hi)
-	head := locost + hicost
+	_, locost := oc.iexpr(l.Lo)
+	_, hicost := oc.iexpr(l.Hi)
 	if oc.err != nil {
 		return
 	}
 	depth := len(kc.loops)
-	before := oc.nSites
-	if fn, ok := oc.fastLoop(l, lo, hi, head); ok {
-		// Page-run span driver: embed it whole. It charges its own head
-		// and per-iteration costs and writes slots directly. When the
-		// bounds are pure, guard it with a runtime trip-count check that
-		// routes short invocations to an inline bytecode copy of the loop.
-		kc.flush()
-		call := kc.addCall(fn)
-		if ir.PureIExpr(l.Lo) && ir.PureIExpr(l.Hi) {
-			// Pure bounds: evaluating them ahead of the driver (which
-			// re-evaluates internally) is unobservable and charge-free.
-			rh := kc.iexpr(l.Hi)
-			rlo := kc.iexpr(l.Lo)
-			rd := kc.iReg()
-			kc.emit(kinstr{op: opISub, dst: rd, a: rh, b: rlo})
-			rT := kc.iconstReg(spanMinTrip * l.Step)
-			lByte, lEnd := kc.newLabel(), kc.newLabel()
-			snap := kc.snapshot()
-			kc.emit(kinstr{op: opJCmpI, dst: cmpSense(ir.Lt, true), a: rd, b: rT, imm: int64(lByte)})
-			kc.emit(kinstr{op: opCall, b: call})
-			kc.emit(kinstr{op: opJump, imm: int64(lEnd)})
-			kc.mark(lByte)
-			kc.restore(snap)
-			kc.kernelLoop(l, depth, head, true, rh, rlo)
-			kc.flush()
-			kc.mark(lEnd)
-			kc.restore(snap)
-		} else {
-			kc.emit(kinstr{op: opCall, b: call})
-		}
-		for s := range ir.WrittenSlots(l.Body, map[int]bool{l.Slot: true}) {
-			kc.invalidateSlot(s)
-		}
-		for s := range writtenFSlots(l.Body, nil) {
-			delete(kc.fbind, s)
-		}
-		kc.reports = append(kc.reports, LoopReport{
-			Var: l.Var, Depth: depth, Driver: "page-run", Sites: oc.nSites - before})
-		return
-	}
 	ri := len(kc.reports)
-	kc.reports = append(kc.reports, LoopReport{
-		Var: l.Var, Depth: depth, Driver: "kernel",
-		Reason: classifyLoop(l, oc.pageWords)})
+	kc.reports = append(kc.reports, LoopReport{Var: l.Var, Depth: depth, Driver: "kernel"})
 
-	kc.charge(head)
+	kc.charge(locost + hicost)
 	rh := kc.iexpr(l.Hi) // runtime order: hi before lo, like the oracle
 	rlo := kc.iexpr(l.Lo)
-	kc.kernelLoop(l, depth, head, false, rh, rlo)
-	kc.reports[ri].Hints = kc.lastHints
-}
-
-// kernelLoop emits the plain bytecode lowering of l with its bounds
-// already in registers rh/rlo. On the standalone kernel path the caller
-// has charged head; the guarded dual path passes chargeHead because the
-// driver branch charges its own head, so the bytecode branch must carry
-// the charge itself — moving it below the pure bound evaluation is
-// exact, since nothing in between can fault. The direct body's hint
-// count is left in kc.lastHints.
-func (kc *kcompiler) kernelLoop(l *ir.Loop, depth int, head int64, chargeHead bool, rh, rlo uint16) {
-	if chargeHead {
-		kc.charge(head)
-	}
 	rv := kc.iReg()
 	kc.emit(kinstr{op: opIMove, dst: rv, a: rlo})
 	kc.flush()
@@ -644,7 +564,7 @@ func (kc *kcompiler) kernelLoop(l *ir.Loop, depth int, head int64, chargeHead bo
 	kc.flush()
 	kc.buf = saved
 	kc.loops = kc.loops[:depth]
-	kc.lastHints = ctx.hints
+	kc.reports[ri].Hints = ctx.hints
 
 	// Layout: the preheader stores the first induction value; the back
 	// edge (opLoopEndS) stores every subsequent one, so the loop top

@@ -43,7 +43,6 @@ const (
 	opLoopEndS // opLoopEnd that also stores Ints[a] = ri[dst] on the back edge
 	opJCmpI    // if cmpI(op(dst), ri[a], ri[b]) == sense(dst): pc = imm
 	opJCmpF    // same over rf
-	opCall     // m.calls[b](e)   (closure fallback / page-run driver)
 	opSetSlot  // Ints[imm] = ri[a]
 	opSetSlotC // Ints[imm] = ri[a]; vm.AddUserOps(imm2)
 	// opChargeTrips charges a promoted scalar loop's deferred
@@ -237,8 +236,6 @@ func (m *Machine) runK(e *Env) {
 			if cmpF(irCmpOp(in.dst), rf[in.a], rf[in.b]) == (in.dst&(1<<8) != 0) {
 				pc = int(in.imm)
 			}
-		case opCall:
-			m.calls[in.b](e)
 		case opSetSlot:
 			ints[in.imm] = ri[in.a]
 		case opSetSlotC:

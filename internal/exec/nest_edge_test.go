@@ -1,8 +1,8 @@
 package exec
 
 import (
-	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -12,7 +12,7 @@ import (
 
 // Nest-level edge cases for the kernel compiler, each run differentially
 // against the closure oracle: zero-trip and single-iteration loops,
-// bounds that clamp mid-page-run, reduction initial values, branch
+// bounds that clamp mid-page, reduction initial values, branch
 // joins, NaN min/max semantics, and the register-overflow fallback.
 
 func scalarRef(s ir.FScalar) ir.FExpr { return ir.FScalar{Slot: s.Slot, Name: s.Name} }
@@ -47,7 +47,7 @@ func TestNestZeroTrip(t *testing.T) {
 	seed := func(f *stripefs.File, p *ir.Program) {
 		SeedF64(f, hw.Default().PageSize, p.Arrays[0], func(i int64) float64 { return float64(i % 31) })
 	}
-	runDifferentialSites(t, mk, 8, seed, true)
+	runDifferential(t, mk, 8, seed)
 }
 
 func TestNestSingleIteration(t *testing.T) {
@@ -71,7 +71,7 @@ func TestNestSingleIteration(t *testing.T) {
 	seed := func(f *stripefs.File, p *ir.Program) {
 		SeedF64(f, hw.Default().PageSize, p.Arrays[0], func(i int64) float64 { return float64(i) / 3 })
 	}
-	env, _ := runDifferentialSites(t, mk, 8, seed, false)
+	env, _ := runDifferential(t, mk, 8, seed)
 	want := 6.0 / 3 // a[i+j] = a[6], one trip with i=j=3
 	found := false
 	for _, f := range env.Floats {
@@ -86,8 +86,8 @@ func TestNestSingleIteration(t *testing.T) {
 
 func TestNestBoundClampMidPageRun(t *testing.T) {
 	// The loop bound lands partway through a page (min(n, m) with m not
-	// page-aligned): the span driver must clamp its last run exactly
-	// where the oracle stops.
+	// page-aligned): the bytecode must stop exactly where the oracle
+	// stops.
 	pageElems := hw.Default().PageSize / ir.ElemSize
 	n := 16 * pageElems
 	m := 11*pageElems + pageElems/3
@@ -183,7 +183,7 @@ func TestNestIfElseJoin(t *testing.T) {
 	seed := func(f *stripefs.File, p *ir.Program) {
 		SeedF64(f, hw.Default().PageSize, p.Arrays[0], func(i int64) float64 { return float64(i%7) / 6 })
 	}
-	runDifferentialSites(t, mk, 8, seed, false)
+	runDifferential(t, mk, 8, seed)
 }
 
 func TestNestFMinNaN(t *testing.T) {
@@ -216,7 +216,7 @@ func TestNestFMinNaN(t *testing.T) {
 			return float64((i*37)%101) - 50
 		})
 	}
-	env, _ := runDifferentialSites(t, mk, 8, seed, false)
+	env, _ := runDifferential(t, mk, 8, seed)
 	okLo, okHi := false, false
 	for _, f := range env.Floats {
 		if f == -50 {
@@ -250,12 +250,12 @@ func TestNestRegisterOverflowFallback(t *testing.T) {
 	if m.code != nil {
 		t.Fatal("register overflow did not fall back to the closure tree")
 	}
-	runDifferentialSites(t, mk, 8, nil, false)
+	runDifferentialDriver(t, mk, 8, nil, false)
 }
 
 func TestNestReports(t *testing.T) {
-	// The per-loop reports must name the driver each loop actually got
-	// and a sensible fallback reason for the ones that missed page-run.
+	// The per-loop reports must name the driver each loop actually got,
+	// in program order with their nesting depth.
 	pageElems := hw.Default().PageSize / ir.ElemSize
 	p := ir.NewProgram("reportful")
 	np := p.NewParam("n", 4*pageElems, true)
@@ -275,30 +275,31 @@ func TestNestReports(t *testing.T) {
 	_, _, _, m := buildWith(t, p, 64, Options{})
 	got := m.Reports()
 	want := []struct {
-		v      string
-		depth  int
-		driver string
-		reason FallbackReason
-	}{
-		{"it", 0, "kernel", ReasonOuterLoop},
-		{"i", 1, "page-run", ReasonSpecialized},
-		{"j", 0, "kernel", ReasonIndirectIndex},
-	}
+		v     string
+		depth int
+	}{{"it", 0}, {"i", 1}, {"j", 0}}
 	if len(got) != len(want) {
 		t.Fatalf("got %d reports, want %d: %v", len(got), len(want), got)
 	}
 	for k, w := range want {
 		r := got[k]
-		if r.Var != w.v || r.Depth != w.depth || r.Driver != w.driver || r.Reason != w.reason {
-			t.Errorf("report %d = %+v, want %s depth=%d %s/%s", k, r, w.v, w.depth, w.driver, w.reason)
+		if r.Var != w.v || r.Depth != w.depth || r.Driver != "kernel" {
+			t.Errorf("report %d = %+v, want %s depth=%d kernel", k, r, w.v, w.depth)
 		}
-		if r.Driver == "page-run" && r.Sites == 0 {
-			t.Errorf("page-run report %d has zero sites", k)
+		if s := r.String(); !strings.Contains(s, "kernel") {
+			t.Errorf("String() = %q does not name the driver", s)
 		}
 	}
-	for _, r := range got {
-		if r.String() == "" {
-			t.Errorf("empty String() for %+v", r)
+
+	// The register-overflow fallback reports the same loops, in the same
+	// order, on the closure driver.
+	closure := closureReports(p.Body, 0, nil)
+	if len(closure) != len(want) {
+		t.Fatalf("got %d closure reports, want %d: %v", len(closure), len(want), closure)
+	}
+	for k, w := range want {
+		if r := closure[k]; r.Var != w.v || r.Depth != w.depth || r.Driver != "closure" {
+			t.Errorf("closure report %d = %+v, want %s depth=%d closure", k, r, w.v, w.depth)
 		}
 	}
 
@@ -312,16 +313,5 @@ func TestNestReports(t *testing.T) {
 	_, _, _, m2 := buildWith(t, p2, 64, Options{NoFastPath: true})
 	if n := len(m2.Reports()); n != 0 {
 		t.Fatalf("NoFastPath machine has %d reports, want 0", n)
-	}
-}
-
-func TestFallbackReasonStrings(t *testing.T) {
-	for r := ReasonSpecialized; r <= ReasonUnsupportedBody; r++ {
-		if s := r.String(); s == "" || s[0] == 'r' && s != "reason(255)" && len(s) > 7 && s[:7] == "reason(" {
-			t.Errorf("reason %d has no name: %q", r, s)
-		}
-	}
-	if got := FallbackReason(255).String(); got != fmt.Sprintf("reason(%d)", 255) {
-		t.Errorf("out-of-range reason prints %q", got)
 	}
 }

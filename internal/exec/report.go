@@ -1,97 +1,34 @@
 // Per-loop compilation reports: which driver each loop of the nest got
-// (page-run span driver, linearized kernel bytecode, or the closure
-// oracle) and, when the page-run fast path was not used, why. The
-// harness surfaces these through core.Result and `oocbench
-// -explain-fastpath` so a missing specialization is diagnosable instead
-// of a silent slowdown.
+// (kernel bytecode, or the closure oracle after a register overflow) and
+// how many hints its body lowered. The harness surfaces these through
+// core.Result and `oocbench -explain-fastpath` so a loop that missed the
+// bytecode is diagnosable instead of a silent slowdown.
 package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/ir"
 )
 
-// FallbackReason says why a loop was not compiled to the page-run span
-// driver. ReasonSpecialized marks the loops that were.
-type FallbackReason uint8
-
-const (
-	// ReasonSpecialized: the loop runs as a page-run span driver.
-	ReasonSpecialized FallbackReason = iota
-	// ReasonOuterLoop: the loop contains nested loops; only its innermost
-	// descendants are span candidates. It runs as kernel bytecode.
-	ReasonOuterLoop
-	// ReasonHintInBody: the body issues prefetch/release hints, a
-	// potential kernel crossing per iteration.
-	ReasonHintInBody
-	// ReasonControlFlow: the body branches.
-	ReasonControlFlow
-	// ReasonInductionWrite: the body assigns the loop's own induction
-	// variable.
-	ReasonInductionWrite
-	// ReasonIndirectIndex: a subscript goes through memory (a[col[k]]) or
-	// a float conversion, so its page behavior is data-dependent.
-	ReasonIndirectIndex
-	// ReasonNonAffineIndex: a subscript is not coeff·var + invariant.
-	ReasonNonAffineIndex
-	// ReasonPageStride: the per-iteration address delta of some access
-	// reaches a full page, so a span never covers two iterations.
-	ReasonPageStride
-	// ReasonScalarOnly: the body touches no arrays; there is nothing for
-	// a span driver to batch.
-	ReasonScalarOnly
-	// ReasonUnsupportedBody: some statement or expression shape outside
-	// the span driver's straight-line subset.
-	ReasonUnsupportedBody
-)
-
-var reasonNames = [...]string{
-	ReasonSpecialized:     "specialized",
-	ReasonOuterLoop:       "outer-loop",
-	ReasonHintInBody:      "hint-in-body",
-	ReasonControlFlow:     "control-flow",
-	ReasonInductionWrite:  "induction-write",
-	ReasonIndirectIndex:   "indirect-index",
-	ReasonNonAffineIndex:  "non-affine-index",
-	ReasonPageStride:      "page-stride",
-	ReasonScalarOnly:      "scalar-only",
-	ReasonUnsupportedBody: "unsupported-body",
-}
-
-func (r FallbackReason) String() string {
-	if int(r) < len(reasonNames) {
-		return reasonNames[r]
-	}
-	return fmt.Sprintf("reason(%d)", uint8(r))
-}
-
 // LoopReport describes how one loop of the program was compiled.
 type LoopReport struct {
-	Var    string         // induction variable name
-	Depth  int            // 0 = top level
-	Driver string         // "page-run", "kernel", or "closure"
-	Reason FallbackReason // why not page-run, when Driver != "page-run"
-	Sites  int            // span-specialized access sites (page-run only)
+	Var    string // induction variable name
+	Depth  int    // 0 = top level
+	Driver string // "kernel" or "closure"
 
 	// Hints counts the prefetch/release statements in the loop's direct
 	// body (nested loops report their own) lowered to kernel bytecode.
 	// The nest compiler lowers every hint it reaches — side-safe shapes
 	// to single-evaluation templates, the rest to the exact
 	// double-evaluation sequence — so on the kernel path this equals the
-	// hint statement count and no hint runs as a closure call.
+	// hint statement count. Zero on the closure driver.
 	Hints int
 }
 
 func (r LoopReport) String() string {
-	pad := ""
-	for i := 0; i < r.Depth; i++ {
-		pad += "  "
-	}
-	if r.Driver == "page-run" {
-		return fmt.Sprintf("%sloop %-8s page-run (%d sites)", pad, r.Var, r.Sites)
-	}
-	s := fmt.Sprintf("%sloop %-8s %-8s %s", pad, r.Var, r.Driver, r.Reason)
+	s := fmt.Sprintf("%sloop %-8s %s", strings.Repeat("  ", r.Depth), r.Var, r.Driver)
 	if r.Hints > 0 {
 		s += fmt.Sprintf(" (%d hints lowered)", r.Hints)
 	}
@@ -104,115 +41,18 @@ func (m *Machine) Reports() []LoopReport {
 	return m.reports
 }
 
-// classifyLoop explains why the page-run driver refused l, mirroring
-// fastpath.go's eligibility checks as diagnoses. It is best-effort: a
-// reason is a human answer, not a second eligibility oracle.
-func classifyLoop(l *ir.Loop, pageWords int64) FallbackReason {
-	s := ir.Summarize(l)
-	switch {
-	case !s.Innermost:
-		return ReasonOuterLoop
-	case s.HasHint:
-		return ReasonHintInBody
-	case s.HasIf:
-		return ReasonControlFlow
-	case s.WritesInductionVar:
-		return ReasonInductionWrite
-	}
-	invariant := func(slot int) bool { return slot != l.Slot && !s.Written[slot] }
-	var refs []arrayRef
-	for _, st := range l.Body {
-		switch x := st.(type) {
-		case ir.AssignF:
-			refs = collectRefsF(x.RHS, refs)
-			refs = append(refs, arrayRef{x.Arr, x.Idx})
-		case ir.AssignI:
-			refs = collectRefsI(x.RHS, refs)
-			refs = append(refs, arrayRef{x.Arr, x.Idx})
-		case ir.SetScalarF:
-			refs = collectRefsF(x.RHS, refs)
-		case ir.SetScalarI:
-			refs = collectRefsI(x.RHS, refs)
-		default:
-			return ReasonUnsupportedBody
+// closureReports lists every loop of body, in program order, as run by
+// the closure driver.
+func closureReports(body []ir.Stmt, depth int, out []LoopReport) []LoopReport {
+	for _, s := range body {
+		switch x := s.(type) {
+		case *ir.Loop:
+			out = append(out, LoopReport{Var: x.Var, Depth: depth, Driver: "closure"})
+			out = closureReports(x.Body, depth+1, out)
+		case ir.If:
+			out = closureReports(x.Then, depth, out)
+			out = closureReports(x.Else, depth, out)
 		}
 	}
-	if len(refs) == 0 {
-		return ReasonScalarOnly
-	}
-	for _, r := range refs {
-		var delta int64
-		for d, ix := range r.idx {
-			if hasIndirect(ix) {
-				return ReasonIndirectIndex
-			}
-			coeff, ok := ir.AffineCoeff(ix, l.Slot, invariant)
-			if !ok {
-				return ReasonNonAffineIndex
-			}
-			if d < len(r.arr.Strides) {
-				delta += coeff * r.arr.Strides[d]
-			}
-		}
-		delta *= l.Step
-		if delta >= pageWords || -delta >= pageWords {
-			return ReasonPageStride
-		}
-	}
-	return ReasonUnsupportedBody
-}
-
-type arrayRef struct {
-	arr *ir.Array
-	idx []ir.IExpr
-}
-
-func collectRefsI(x ir.IExpr, refs []arrayRef) []arrayRef {
-	switch e := x.(type) {
-	case ir.IBin:
-		refs = collectRefsI(e.A, refs)
-		refs = collectRefsI(e.B, refs)
-	case ir.ILoad:
-		for _, ix := range e.Idx {
-			refs = collectRefsI(ix, refs)
-		}
-		refs = append(refs, arrayRef{e.Arr, e.Idx})
-	case ir.IFromF:
-		refs = collectRefsF(e.X, refs)
-	}
-	return refs
-}
-
-func collectRefsF(x ir.FExpr, refs []arrayRef) []arrayRef {
-	switch e := x.(type) {
-	case ir.FLoad:
-		for _, ix := range e.Idx {
-			refs = collectRefsI(ix, refs)
-		}
-		refs = append(refs, arrayRef{e.Arr, e.Idx})
-	case ir.FBin:
-		refs = collectRefsF(e.A, refs)
-		refs = collectRefsF(e.B, refs)
-	case ir.FNeg:
-		refs = collectRefsF(e.X, refs)
-	case ir.FromInt:
-		refs = collectRefsI(e.X, refs)
-	case ir.FCall:
-		for _, a := range e.Args {
-			refs = collectRefsF(a, refs)
-		}
-	}
-	return refs
-}
-
-// hasIndirect reports whether a subscript expression goes through
-// memory or a float conversion anywhere.
-func hasIndirect(x ir.IExpr) bool {
-	switch e := x.(type) {
-	case ir.IBin:
-		return hasIndirect(e.A) || hasIndirect(e.B)
-	case ir.ILoad, ir.IFromF:
-		return true
-	}
-	return false
+	return out
 }

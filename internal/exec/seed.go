@@ -20,20 +20,17 @@ func SeedI64(file *stripefs.File, pageSize int64, arr *ir.Array, gen func(i int6
 	seed(file, pageSize, arr, func(i int64) uint64 { return uint64(gen(i)) })
 }
 
+// seed fills each of the array's pages in place in the file's backing
+// store. Words past the array's end on its last page stay zero.
 func seed(file *stripefs.File, pageSize int64, arr *ir.Array, gen func(i int64) uint64) {
 	perPage := pageSize / ir.ElemSize
-	buf := make([]uint64, perPage)
 	firstPage := arr.Base / pageSize
 	nPages := (arr.Elems*ir.ElemSize + pageSize - 1) / pageSize
 	for p := int64(0); p < nPages; p++ {
-		for k := int64(0); k < perPage; k++ {
-			i := p*perPage + k
-			var w uint64
-			if i < arr.Elems {
-				w = gen(i)
-			}
-			buf[k] = w
+		buf := file.InitPage(firstPage + p)
+		i := p * perPage
+		for k := range buf[:min(perPage, arr.Elems-i)] {
+			buf[k] = gen(i + int64(k))
 		}
-		file.SetPageWords(firstPage+p, buf)
 	}
 }

@@ -103,18 +103,6 @@ func (fs *FS) SetFaults(inj *fault.Injector) {
 // Backends exposes the underlying storage devices (for statistics).
 func (fs *FS) Backends() []disk.Backend { return fs.devs }
 
-// Disks exposes the underlying devices as concrete disks. It panics off
-// the disk tier.
-//
-// Deprecated: use Backends, which works on every storage tier.
-func (fs *FS) Disks() []*disk.Disk {
-	out := make([]*disk.Disk, len(fs.devs))
-	for i, d := range fs.devs {
-		out[i] = d.(*disk.Disk)
-	}
-	return out
-}
-
 // Params returns the hardware parameters the file system was built with.
 func (fs *FS) Params() hw.Params { return fs.p }
 
@@ -339,9 +327,13 @@ func (f *File) QueueLenOf(page int64) int {
 	return f.fs.devs[d].QueueLen()
 }
 
-// storeBufFor returns a zeroed page buffer installed as the backing
-// contents of page, reusing the existing one when present.
-func (f *File) storeBufFor(page int64) []uint64 {
+// InitPage installs a zeroed buffer as the backing contents of page,
+// reusing the existing one when present, and returns it for the caller
+// to fill in place without simulated I/O — how experiments pre-initialize
+// input files ("the data now comes from disk"). The buffer is one page of
+// words; the caller must not retain it once the page is next written.
+func (f *File) InitPage(page int64) []uint64 {
+	f.check(page, 1)
 	buf := f.store[page]
 	if buf == nil {
 		buf = f.fs.getPageBuf()
@@ -358,25 +350,22 @@ func (f *File) storeBufFor(page int64) []uint64 {
 // pre-initialize input files ("the data now comes from disk"); data may
 // be shorter than a page, the rest is zero. The slice is copied.
 func (f *File) SetPage(page int64, data []byte) {
-	f.check(page, 1)
 	if int64(len(data)) > f.fs.p.PageSize {
 		panic(fmt.Sprintf("stripefs: page data %d B exceeds page size %d", len(data), f.fs.p.PageSize))
 	}
-	buf := f.storeBufFor(page)
+	buf := f.InitPage(page)
 	for i, c := range data {
 		buf[i>>3] |= uint64(c) << uint(8*(i&7))
 	}
 }
 
 // SetPageWords is SetPage for word-formatted data, the layer's native
-// page format. The slice is copied.
+// page format: a copy into the page InitPage installs.
 func (f *File) SetPageWords(page int64, data []uint64) {
-	f.check(page, 1)
 	if int64(len(data)) > f.fs.p.PageSize/8 {
 		panic(fmt.Sprintf("stripefs: page data %d words exceeds page size %d", len(data), f.fs.p.PageSize))
 	}
-	buf := f.storeBufFor(page)
-	copy(buf, data)
+	copy(f.InitPage(page), data)
 }
 
 // PeekPage returns the current backing contents of a page as words (nil

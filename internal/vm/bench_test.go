@@ -45,54 +45,6 @@ func BenchmarkResidentStore(b *testing.B) {
 	}
 }
 
-// benchSink keeps span-iteration results observable so the compiler
-// cannot elide the loops under measurement.
-var benchSink uint64
-
-// BenchmarkPageRunLoad measures the executor fast path's per-word read
-// cost: one PageSpan acquisition per page amortized over iterating the
-// page's words directly. Compare against BenchmarkResidentLoad, which
-// pays the full Load call per word.
-func BenchmarkPageRunLoad(b *testing.B) {
-	_, v := benchVM(b, 64, 64)
-	base, _ := v.Alloc("x", 8*v.Params().PageSize)
-	pw := v.Params().PageSize / 8
-	_ = v.LoadF64(base)
-	var sum uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i += int(pw) {
-		words, off, ok := v.PageSpan(base, pw)
-		if !ok {
-			b.Fatal("PageSpan refused a hot page")
-		}
-		for _, w := range words[off:] {
-			sum += w
-		}
-	}
-	benchSink = sum
-}
-
-// BenchmarkPageRunStore is the store-side twin: PageSpanW acquisition
-// amortized over direct word writes. Compare against
-// BenchmarkResidentStore.
-func BenchmarkPageRunStore(b *testing.B) {
-	_, v := benchVM(b, 64, 64)
-	base, _ := v.Alloc("x", 8*v.Params().PageSize)
-	pw := v.Params().PageSize / 8
-	v.StoreF64(base, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i += int(pw) {
-		words, off, ok := v.PageSpanW(base, pw)
-		if !ok {
-			b.Fatal("PageSpanW refused a hot page")
-		}
-		s := words[off:]
-		for j := range s {
-			s[j] = uint64(i + j)
-		}
-	}
-}
-
 func BenchmarkDemandFaultCycle(b *testing.B) {
 	c, v := benchVM(b, 16, 1024)
 	ps := v.Params().PageSize

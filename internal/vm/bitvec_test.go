@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 // naiveNextClear is the per-page Get loop NextClear must match.
 func naiveNextClear(b *BitVector, page, end int64) int64 {
@@ -153,79 +149,5 @@ func TestSetRangeCoarseGranularity(t *testing.T) {
 		if a.Get(p) != b.Get(p) {
 			t.Fatalf("coarse SetRange: bit for page %d = %v, want %v", p, a.Get(p), b.Get(p))
 		}
-	}
-}
-
-// TestPageSpanContract pins down the span API the executor's page-run
-// fast path builds on: spans exist only for hot (resident-and-touched)
-// single-page ranges, alias the frame words, and mark referenced/dirty
-// exactly as per-element accesses would.
-func TestPageSpanContract(t *testing.T) {
-	c, v := newVM(t, 16, 64)
-	ps := v.Params().PageSize
-	base, _ := v.Alloc("a", 4*ps)
-	pw := ps / 8
-
-	// Unmapped page: no span.
-	if _, _, ok := v.PageSpan(base, 1); ok {
-		t.Fatal("PageSpan succeeded on an unmapped page")
-	}
-	// Prefetched-but-untouched page: still no span — the first touch
-	// must go through the fault path to be classified.
-	v.Prefetch(v.PageOf(base)+1, 1)
-	c.Advance(100 * sim.Millisecond)
-	if _, _, ok := v.PageSpan(base+ps, 1); ok {
-		t.Fatal("PageSpan succeeded on a resident page never touched")
-	}
-
-	// A touched page yields a span over its words.
-	v.StoreF64(base, 1.5)
-	words, off, ok := v.PageSpan(base, pw)
-	if !ok || off != 0 || int64(len(words)) != pw {
-		t.Fatalf("PageSpan = (len %d, off %d, %v), want full page at offset 0", len(words), off, ok)
-	}
-
-	// The span aliases frame memory both ways.
-	v.StoreI64(base+16, 77)
-	if words[2] != 77 {
-		t.Fatalf("span[2] = %d, want 77 stored via VM", words[2])
-	}
-	words[3] = 91
-	if got := v.LoadI64(base + 24); got != 91 {
-		t.Fatalf("LoadI64 = %d, want 91 written via span", got)
-	}
-
-	// Out-of-page and degenerate ranges fail.
-	if _, _, ok := v.PageSpan(base+8, pw); ok {
-		t.Fatal("PageSpan succeeded across a page boundary")
-	}
-	if _, _, ok := v.PageSpan(base, 0); ok {
-		t.Fatal("PageSpan succeeded for n = 0")
-	}
-
-	// Mid-page spans report the word offset.
-	if _, off, ok := v.PageSpan(base+40, 2); !ok || off != 5 {
-		t.Fatalf("PageSpan(base+40) = (off %d, %v), want offset 5", off, ok)
-	}
-
-	// PageSpanW marks the page dirty, PageSpan only referenced.
-	v.Finish() // flush the store's dirt; page stays hot
-	pg := base >> v.pageShift
-	v.pt[pg].referenced = false
-	if _, _, ok := v.PageSpan(base, 1); !ok {
-		t.Fatal("PageSpan failed on hot page after Finish")
-	}
-	if !v.pt[pg].referenced || v.pt[pg].dirty {
-		t.Fatalf("after read span: referenced=%v dirty=%v, want true/false",
-			v.pt[pg].referenced, v.pt[pg].dirty)
-	}
-	if _, _, ok := v.PageSpanW(base, 1); !ok {
-		t.Fatal("PageSpanW failed on hot page")
-	}
-	if !v.pt[pg].dirty {
-		t.Fatal("PageSpanW did not mark the page dirty")
-	}
-	if err := v.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -208,26 +208,33 @@ func (pl *Pool) pushFreeFront(f int32) {
 }
 
 // growFreeQ makes room for one more entry, compacting stale slots away
-// when the ring fills.
+// in place when the ring fills and doubling it only when the live
+// entries alone fill it.
 func (pl *Pool) growFreeQ() {
-	if pl.freeSlots+1 < len(pl.freeQ) {
+	n := len(pl.freeQ)
+	if pl.freeSlots+1 < n {
 		return
 	}
-	live := make([]int32, 0, pl.freeCount)
-	for pl.freeHead != pl.freeTail {
-		f := pl.freeQ[pl.freeHead]
-		pl.freeHead = (pl.freeHead + 1) % len(pl.freeQ)
-		if pl.frames[f].onFree {
-			live = append(live, f)
+	// Slide live entries back over stale ones in ring order; the write
+	// cursor never passes the read cursor, so nothing is overwritten
+	// before it is read.
+	w := pl.freeHead
+	for r := pl.freeHead; r != pl.freeTail; r = (r + 1) % n {
+		if f := pl.freeQ[r]; pl.frames[f].onFree {
+			pl.freeQ[w] = f
+			w = (w + 1) % n
 		}
 	}
-	if len(live)+1 >= len(pl.freeQ) {
-		pl.freeQ = make([]int32, 2*len(pl.freeQ))
+	live := (w - pl.freeHead + n) % n
+	if live+1 >= n {
+		q := make([]int32, 2*n)
+		for i := 0; i < live; i++ {
+			q[i] = pl.freeQ[(pl.freeHead+i)%n]
+		}
+		pl.freeQ, pl.freeHead, w = q, 0, live
 	}
-	copy(pl.freeQ, live)
-	pl.freeHead = 0
-	pl.freeTail = len(live)
-	pl.freeSlots = len(live)
+	pl.freeTail = w
+	pl.freeSlots = live
 }
 
 // popFree removes and returns the next free frame, skipping stale entries.

@@ -21,11 +21,11 @@ func residentPages(v *VM) []int64 {
 }
 
 // TestReclaimAllFramesPinnedBySpans drives reclaim against a pool whose
-// every resident frame was just acquired through PageSpan. Spans mark
-// their pages referenced — the strongest protection second chance
-// grants — so the sweep must strip reference bits and still find
-// victims rather than livelock, and the evicted pages' stores must
-// survive the write-back / re-fault round trip.
+// every resident frame was just re-stored through the hot probe, so
+// every page is marked referenced and dirty — the strongest protection
+// second chance grants — and the sweep must strip reference bits and
+// still find victims rather than livelock, and the evicted pages'
+// stores must survive the write-back / re-fault round trip.
 func TestReclaimAllFramesPinnedBySpans(t *testing.T) {
 	_, v := newVM(t, 8, 64)
 	ps := v.Params().PageSize
@@ -34,12 +34,12 @@ func TestReclaimAllFramesPinnedBySpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Dirty more pages than the pool has frames, then pin every page
-	// that stayed resident with a span before each new burst of faults.
+	// Dirty more pages than the pool has frames, then re-mark every page
+	// that stayed resident before each new burst of faults.
 	for round := int64(0); round < 8; round++ {
 		for _, p := range residentPages(v) {
-			if _, _, ok := v.PageSpanW(base+p*ps, 1); !ok {
-				t.Fatalf("round %d: span on resident page %d refused", round, p)
+			if !v.StoreFast(base+p*ps, uint64(p)) {
+				t.Fatalf("round %d: hot store on resident page %d refused", round, p)
 			}
 		}
 		for i := int64(0); i < 8; i++ {

@@ -441,3 +441,25 @@ func TestFreeQueueSurvivesHeavyRescueTraffic(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRescueCycleZeroAlloc holds the release → minor-fault rescue
+// cycle to zero heap allocations: each rescue leaves a stale entry in the
+// free ring, and the periodic compaction that clears them works in place.
+func TestReleaseRescueCycleZeroAlloc(t *testing.T) {
+	_, v := newVM(t, 64, 64)
+	base, _ := v.Alloc("x", 8*v.Params().PageSize)
+	_ = v.LoadF64(base)
+	cycle := func() {
+		v.Release(v.PageOf(base), 1)
+		_ = v.LoadF64(base)
+	}
+	for i := 0; i < 200; i++ { // several compactions before measuring
+		cycle()
+	}
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("release → rescue cycle allocates %v times per run, want 0", n)
+	}
+	if err := v.Pool().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

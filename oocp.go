@@ -370,9 +370,9 @@ func AblateAllContext(ctx context.Context, w io.Writer, scale float64, r Runner)
 }
 
 // ExplainFastPath runs every NAS proxy once at the given scale and
-// prints, per loop, which compiled driver ran it (page-run span driver,
-// linearized kernel bytecode, or the closure oracle) and why the
-// compiler fell back when it did.
+// prints, per loop, which compiled driver ran it (kernel bytecode, or
+// the closure oracle after a register overflow) and how many hints its
+// body lowered.
 func ExplainFastPath(w io.Writer, scale float64) error {
 	return bench.ExplainFastPath(w, scale)
 }
